@@ -483,7 +483,7 @@ def main(argv=None):
     parser.add_argument("--fast", action="store_true",
                         help="3 repeats instead of 7 (CI setting)")
     parser.add_argument("--check-regression", action="store_true",
-                        help="exit 1 on a >20% relative throughput drop")
+                        help="exit 1 on a >20%% relative throughput drop")
     parser.add_argument("-o", "--output", default=str(DEFAULT_OUTPUT),
                         help="where to write BENCH_kernels.json")
     args = parser.parse_args(argv)

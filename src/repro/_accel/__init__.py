@@ -1,4 +1,5 @@
-"""Optional C accelerator for the Bowyer-Watson hot paths.
+"""Optional C accelerator for the Bowyer-Watson and surface-oracle hot
+paths.
 
 When a C compiler is available, :data:`bw_insert`, :data:`bw_commit`,
 :data:`bw_insert_many` and :data:`bw_remove` hold ctypes handles to the
@@ -11,6 +12,12 @@ point filter they return *without mutating anything* and the caller
 re-runs the Python filtered/exact path, so meshes are bit-identical
 with and without the accelerator — the C path is purely an execution
 strategy, never a semantic change.
+
+:data:`iso_probe`, :data:`iso_closest` and :data:`iso_crossing` are the
+surface oracle's kernels (label + nearest surface voxel, closest
+isosurface point, segment crossing), bound to one image through
+:func:`oracle_kernel`.  They repeat the Python oracle's double
+operations in the same order, so their points are bit-identical too.
 
 Set ``REPRO_ACCEL=0`` (or the older ``REPRO_NO_ACCEL=1``) to disable
 the accelerator (e.g. to benchmark the pure-Python kernel, or to rule
@@ -123,12 +130,93 @@ def _handle(lib, name: str, nargs: int):
     return fn
 
 
+class IsoImage(ctypes.Structure):
+    """``iso_image`` in bw_kernel.c: one image + feature transform."""
+
+    _fields_ = [
+        ("labels", ctypes.c_void_p), ("feature", ctypes.c_void_p),
+        ("nx", ctypes.c_int64), ("ny", ctypes.c_int64),
+        ("nz", ctypes.c_int64),
+        ("ox", ctypes.c_double), ("oy", ctypes.c_double),
+        ("oz", ctypes.c_double),
+        ("sx", ctypes.c_double), ("sy", ctypes.c_double),
+        ("sz", ctypes.c_double),
+        ("step", ctypes.c_double), ("tol", ctypes.c_double),
+        ("overshoot", ctypes.c_double),
+    ]
+
+
+class IsoResult(ctypes.Structure):
+    """``iso_result``: returned by value, so no call shares a buffer."""
+
+    _fields_ = [
+        ("x", ctypes.c_double), ("y", ctypes.c_double),
+        ("z", ctypes.c_double),
+        ("label", ctypes.c_int64), ("site", ctypes.c_int64),
+        ("status", ctypes.c_int64),
+    ]
+
+
+# iso_result.status (keep in sync with bw_kernel.c); 0 is "no crossing".
+ISO_HIT = 1
+ISO_FALLBACK = -1
+
+
+def _oracle_handle(lib, name: str, n_coords: int):
+    fn = _handle(lib, name, 1)
+    if fn is None:
+        return None
+    fn.restype = IsoResult
+    fn.argtypes = [ctypes.c_void_p] + [ctypes.c_double] * n_coords
+    return fn
+
+
 _LIB = _load()
 bw_insert = _handle(_LIB, "bw_insert", 16)
 bw_commit = _handle(_LIB, "bw_commit", 14)
 bw_insert_many = _handle(_LIB, "bw_insert_many", 19)
 bw_remove = _handle(_LIB, "bw_remove", 9)
+iso_probe = _oracle_handle(_LIB, "iso_probe", 3)
+iso_closest = _oracle_handle(_LIB, "iso_closest", 3)
+iso_crossing = _oracle_handle(_LIB, "iso_crossing", 6)
 AVAILABLE = bw_insert is not None
+
+
+class OracleKernel:
+    """The oracle kernels bound to one image and its feature transform.
+
+    ``image`` is the :class:`IsoImage` passed to every call; the arrays
+    it points into are kept alive here and are never written.  Results
+    come back by value, so one kernel serves any number of threads
+    (ctypes releases the GIL for the duration of each call).
+    """
+
+    __slots__ = ("image", "probe", "closest", "crossing", "_keep")
+
+    def __init__(self, labels, feature, origin, spacing, step, tol,
+                 overshoot) -> None:
+        labels = np.ascontiguousarray(labels, dtype=np.int16)
+        feature = np.ascontiguousarray(feature, dtype=np.int64)
+        if feature.shape != labels.shape:
+            raise ValueError("feature transform does not match the image")
+        struct = IsoImage(
+            labels.ctypes.data, feature.ctypes.data, *labels.shape,
+            *origin, *spacing, step, tol, overshoot,
+        )
+        self._keep = (labels, feature, struct)
+        # A plain address is the cheapest pointer argument to convert.
+        self.image = ctypes.c_void_p(ctypes.addressof(struct))
+        self.probe = iso_probe
+        self.closest = iso_closest
+        self.crossing = iso_crossing
+
+
+def oracle_kernel(labels, feature, origin, spacing, step, tol, overshoot):
+    """An :class:`OracleKernel`, or ``None`` when the kernels are off."""
+    if iso_probe is None or iso_closest is None or iso_crossing is None:
+        return None
+    return OracleKernel(labels, feature, origin, spacing, step, tol,
+                        overshoot)
 
 
 class AccelScratch:

@@ -1,9 +1,10 @@
 /* Bowyer-Watson kernels: insertion, batched insertion, pre-validated
- * commit, and vertex-removal hole filling.
+ * commit, and vertex-removal hole filling; plus the surface oracle's
+ * nearest-site lookup, march and bisection (end of file).
  *
  * Compiled on demand (see __init__.py) and driven through ctypes on the
- * mesh's struct-of-arrays buffers.  Four entry points share the same
- * building blocks:
+ * mesh's struct-of-arrays buffers.  Four Bowyer-Watson entry points
+ * share the same building blocks:
  *
  * - bw_insert        one insertion attempt: remembering walk -> cavity
  *                    search -> validation -> closure check -> commit.
@@ -879,4 +880,199 @@ int64_t bw_remove(const double *coords, const int32_t *faces,
     }
     REMOVE_DONE(n_fill);
 #undef REMOVE_DONE
+}
+
+/* ------------------------------------------------------------------
+ * Surface oracle (imaging/isosurface.py, Section 3).
+ *
+ * iso_probe, iso_closest and iso_crossing replay SurfaceOracle's
+ * nearest-site lookup, march and bisection with the same double
+ * operations in the same order, so every returned point is
+ * bit-identical to the Python reference; like the filters above, that
+ * relies on -ffp-contract=off.  math.dist is not replayed (CPython's
+ * algorithm is not the naive root of the sum of squares): distances
+ * stay in Python.  The kernels read only the immutable iso_image and
+ * return their answer by value, so concurrent callers share nothing.
+ * Inputs the Python code could treat differently (non-finite
+ * coordinates, marches too long to replay exactly) yield ISO_FALLBACK
+ * and the caller runs the Python path instead.
+ */
+
+#define ISO_MISS 0
+#define ISO_HIT 1
+#define ISO_FALLBACK (-1)
+
+/* Longest march replayed in C: k * step stays exact and the bisection
+ * interval can always shrink below its tolerance. */
+#define ISO_MAX_STEPS 4294967296.0 /* 2^32 */
+
+typedef struct {
+    const int16_t *labels;   /* C-order label volume */
+    const int64_t *feature;  /* C-order flat index of the nearest site */
+    int64_t nx, ny, nz;
+    double ox, oy, oz;       /* origin */
+    double sx, sy, sz;       /* spacing */
+    double step;             /* march step: 0.25 * min spacing */
+    double tol;              /* bisection tolerance: 1e-3 * min spacing */
+    double overshoot;        /* march past the site: 2 * max spacing */
+} iso_image;
+
+typedef struct {
+    double x, y, z;  /* iso_closest / iso_crossing: the surface point */
+    int64_t label;   /* iso_probe: label at p */
+    int64_t site;    /* iso_probe: flat index of the nearest site */
+    int64_t status;
+} iso_result;
+
+/* SegmentedImage.label_at: points outside the image are background. */
+static inline int64_t iso_label(const iso_image *im, double px, double py,
+                                double pz)
+{
+    double rx = (px - im->ox) / im->sx;
+    if (!(rx >= 0.0 && rx < (double)im->nx))
+        return 0;
+    double ry = (py - im->oy) / im->sy;
+    if (!(ry >= 0.0 && ry < (double)im->ny))
+        return 0;
+    double rz = (pz - im->oz) / im->sz;
+    if (!(rz >= 0.0 && rz < (double)im->nz))
+        return 0;
+    return im->labels[((int64_t)rx * im->ny + (int64_t)ry) * im->nz
+                      + (int64_t)rz];
+}
+
+/* SegmentedImage.voxel_of: index of the voxel holding r (clamped). */
+static inline int64_t iso_clamp(double r, int64_t n)
+{
+    if (r <= 0.0)
+        return 0;
+    if (r >= (double)n)
+        return n - 1;
+    return (int64_t)r;
+}
+
+/* Flat index of the nearest site of p's (clamped) voxel. */
+static inline int64_t iso_site(const iso_image *im, double px, double py,
+                               double pz)
+{
+    int64_t i = iso_clamp((px - im->ox) / im->sx, im->nx);
+    int64_t j = iso_clamp((py - im->oy) / im->sy, im->ny);
+    int64_t k = iso_clamp((pz - im->oz) / im->sz, im->nz);
+    return im->feature[(i * im->ny + j) * im->nz + k];
+}
+
+/* SegmentedImage.voxel_center of the voxel with flat index ``flat``. */
+static void iso_center(const iso_image *im, int64_t flat, double *q)
+{
+    int64_t plane = im->ny * im->nz;
+    int64_t si = flat / plane, rem = flat % plane;
+    int64_t sj = rem / im->nz, sk = rem % im->nz;
+    q[0] = im->ox + ((double)si + 0.5) * im->sx;
+    q[1] = im->oy + ((double)sj + 0.5) * im->sy;
+    q[2] = im->oz + ((double)sk + 0.5) * im->sz;
+}
+
+/* SurfaceOracle._march_segment + _bisect. */
+static int64_t iso_march(const iso_image *im, double ax, double ay,
+                         double az, double dx, double dy, double dz,
+                         double march_length, double d_length,
+                         iso_result *out)
+{
+    const double step = im->step;
+    const double inv = 1.0 / d_length;
+    const double ux = dx * inv, uy = dy * inv, uz = dz * inv;
+    const double nd = ceil(march_length / step);
+    if (!(nd <= ISO_MAX_STEPS) || !isfinite(ux) || !isfinite(uy)
+        || !isfinite(uz))
+        return ISO_FALLBACK;
+    const int64_t n_steps = nd < 1.0 ? 1 : (int64_t)nd;
+    double prev_t = 0.0;
+    int64_t prev_label = iso_label(im, ax, ay, az);
+    for (int64_t k = 1; k <= n_steps; k++) {
+        double t = (double)k * step;
+        if (march_length < t)
+            t = march_length;
+        int64_t lab = iso_label(im, ax + ux * t, ay + uy * t, az + uz * t);
+        if (lab != prev_label) {
+            double t_lo = prev_t, t_hi = t;
+            while (t_hi - t_lo > im->tol) {
+                double mid = 0.5 * (t_lo + t_hi);
+                if (iso_label(im, ax + ux * mid, ay + uy * mid,
+                              az + uz * mid) == prev_label)
+                    t_lo = mid;
+                else
+                    t_hi = mid;
+            }
+            double tm = 0.5 * (t_lo + t_hi);
+            out->x = ax + ux * tm;
+            out->y = ay + uy * tm;
+            out->z = az + uz * tm;
+            return ISO_HIT;
+        }
+        prev_t = t;
+        prev_label = lab;
+    }
+    return ISO_MISS;
+}
+
+/* Label at p and the flat index of p's nearest surface voxel
+ * (SegmentedImage.label_at + SurfaceOracle.nearest_surface_voxel). */
+iso_result iso_probe(const iso_image *im, double px, double py, double pz)
+{
+    iso_result r = {0.0, 0.0, 0.0, 0, 0, ISO_FALLBACK};
+    if (!isfinite(px) || !isfinite(py) || !isfinite(pz))
+        return r;
+    r.site = iso_site(im, px, py, pz);
+    r.label = iso_label(im, px, py, pz);
+    r.status = ISO_HIT;
+    return r;
+}
+
+/* SurfaceOracle.closest_surface_point. */
+iso_result iso_closest(const iso_image *im, double px, double py, double pz)
+{
+    iso_result r = {0.0, 0.0, 0.0, 0, 0, ISO_FALLBACK};
+    if (!isfinite(px) || !isfinite(py) || !isfinite(pz))
+        return r;
+    double q[3];
+    iso_center(im, iso_site(im, px, py, pz), q);
+    const double dx = q[0] - px, dy = q[1] - py, dz = q[2] - pz;
+    const double length = sqrt(dx * dx + dy * dy + dz * dz);
+    if (length == 0.0) {
+        /* p is a surface-voxel center: probe one voxel along each axis
+         * direction in the Python order (x+, x-, y+, y-, z+, z-). */
+        const double sp[3] = {im->sx, im->sy, im->sz};
+        for (int axis = 0; axis < 3; axis++) {
+            for (int s = 0; s < 2; s++) {
+                double d[3] = {0.0, 0.0, 0.0};
+                d[axis] = (s == 0 ? 1.0 : -1.0) * sp[axis];
+                r.status = iso_march(im, px, py, pz, d[0], d[1], d[2],
+                                     sp[axis] + im->overshoot, sp[axis], &r);
+                if (r.status != ISO_MISS)
+                    return r;
+            }
+        }
+        return r;
+    }
+    r.status = iso_march(im, px, py, pz, dx, dy, dz,
+                         length + im->overshoot, length, &r);
+    return r;
+}
+
+/* SurfaceOracle.surface_crossing: first crossing on segment a-b. */
+iso_result iso_crossing(const iso_image *im, double ax, double ay,
+                        double az, double bx, double by, double bz)
+{
+    iso_result r = {0.0, 0.0, 0.0, 0, 0, ISO_FALLBACK};
+    if (!isfinite(ax) || !isfinite(ay) || !isfinite(az) || !isfinite(bx)
+        || !isfinite(by) || !isfinite(bz))
+        return r;
+    const double dx = bx - ax, dy = by - ay, dz = bz - az;
+    const double length = sqrt(dx * dx + dy * dy + dz * dz);
+    if (length == 0.0) {
+        r.status = ISO_MISS;
+        return r;
+    }
+    r.status = iso_march(im, ax, ay, az, dx, dy, dz, length, length, &r);
+    return r;
 }

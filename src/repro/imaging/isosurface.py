@@ -12,15 +12,22 @@ Implements the Section 3 machinery:
   (paper's interpolation step [57]);
 * *surface centers* — the intersection of a Voronoi edge ``V(f)`` with
   the isosurface, computed by the same march/bisection along the edge.
+
+When the C accelerator is available (:mod:`repro._accel`) the lookups,
+marches and bisections run in C with the same double operations in the
+same order, so every answer is bit-identical to the Python code below,
+which stays the reference implementation (``REPRO_ACCEL=0``) and the
+fallback for inputs the kernel declines (non-finite coordinates).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import _accel
 from repro.imaging.edt import (
     EDTResult,
     euclidean_feature_transform,
@@ -81,13 +88,48 @@ class SurfaceOracle:
                 self.surface_mask, image.spacing
             )
         self._march_step = 0.25 * image.min_spacing
+        self._kernel = _accel.oracle_kernel(
+            image.labels, self.edt.feature, image.origin, image.spacing,
+            self._march_step, 1e-3 * image.min_spacing,
+            2.0 * max(image.spacing),
+        )
+        # Voxel centers as one tuple per surface voxel (flat index ->
+        # center), built from shared per-axis coordinates: callers cache
+        # a site per mesh element, and a fresh tuple each would cost
+        # ~140 bytes per element.
+        self._sites: Dict[int, Point] = {}
+        self._axis_centers = tuple(
+            [image.origin[a] + (i + 0.5) * image.spacing[a]
+             for i in range(image.shape[a])]
+            for a in range(3)
+        )
 
     # ------------------------------------------------------------------
+    def locate(self, p: Sequence[float]) -> Tuple[int, Point]:
+        """``(label at p, nearest_surface_voxel(p))`` in one lookup."""
+        k = self._kernel
+        if k is not None:
+            r = k.probe(k.image, p[0], p[1], p[2])
+            if r.status == _accel.ISO_HIT:
+                return r.label, self._site(r.site)
+        flat = int(self.edt.feature[self.image.voxel_of(p)])
+        return int(self.image.label_at(p)), self._site(flat)
+
     def nearest_surface_voxel(self, p: Sequence[float]) -> Point:
         """World center of the surface voxel nearest to ``p``."""
-        idx = self.image.voxel_of(p)
-        site = self.edt.nearest_site_index(idx)
-        return self.image.voxel_center(site)
+        return self.locate(p)[1]
+
+    def _site(self, flat: int) -> Point:
+        """Center of the voxel with C-order flat index ``flat``
+        (:meth:`SegmentedImage.voxel_center`), shared per voxel."""
+        site = self._sites.get(flat)
+        if site is None:
+            _, ny, nz = self.image.shape
+            i, rem = divmod(flat, ny * nz)
+            j, k = divmod(rem, nz)
+            xs, ys, zs = self._axis_centers
+            site = self._sites[flat] = (xs[i], ys[j], zs[k])
+        return site
 
     def closest_surface_point(self, p: Sequence[float]) -> Optional[Point]:
         """A point on the isosurface close to ``p`` (Section 3's p-hat).
@@ -97,6 +139,11 @@ class SurfaceOracle:
         when no crossing is found (degenerate query far outside the
         image).
         """
+        k = self._kernel
+        if k is not None:
+            r = k.closest(k.image, p[0], p[1], p[2])
+            if r.status != _accel.ISO_FALLBACK:
+                return (r.x, r.y, r.z) if r.status == _accel.ISO_HIT else None
         q = self.nearest_surface_voxel(p)
         d = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
         length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
@@ -131,6 +178,11 @@ class SurfaceOracle:
         tetrahedra, and its intersection with the isosurface is the
         surface center ``c_surf(f)`` (rule R3).
         """
+        k = self._kernel
+        if k is not None:
+            r = k.crossing(k.image, a[0], a[1], a[2], b[0], b[1], b[2])
+            if r.status != _accel.ISO_FALLBACK:
+                return (r.x, r.y, r.z) if r.status == _accel.ISO_HIT else None
         d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
         length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         if length == 0.0:

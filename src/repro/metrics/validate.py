@@ -3,8 +3,9 @@
 A solver consuming PI2M output wants to know the mesh is *conforming*:
 indices in range, no degenerate or inverted elements, every boundary
 face actually a face of exactly one kept tetrahedron per side, and a
-watertight boundary.  :func:`validate_extracted_mesh` returns a list of
-human-readable issues (empty = valid); tests and examples assert on it.
+watertight boundary around every tissue.  :func:`validate_extracted_mesh`
+returns a list of human-readable issues (empty = valid); tests and
+examples assert on it.
 """
 
 from __future__ import annotations
@@ -83,17 +84,12 @@ def validate_extracted_mesh(mesh: ExtractedMesh,
     if missing:
         issues.append(f"{missing} boundary faces are not faces of any tet")
 
-    # watertight boundary: each boundary edge on an even number of faces
-    edges = Counter()
-    for face in mesh.boundary_faces:
-        f = sorted(int(v) for v in face)
-        edges[(f[0], f[1])] += 1
-        edges[(f[0], f[2])] += 1
-        edges[(f[1], f[2])] += 1
-    odd = sum(1 for c in edges.values() if c % 2 != 0)
-    if odd:
-        issues.append(f"{odd} boundary edges with odd face count "
-                      "(boundary not watertight)")
+    # watertight boundary, per tissue: the faces bounding each label
+    if len(mesh.boundary_labels) == len(mesh.boundary_faces):
+        odd = open_label_edges(mesh.boundary_faces, mesh.boundary_labels)
+        if odd:
+            issues.append(f"{odd} boundary edges with odd face count "
+                          "(boundary not watertight)")
 
     # interior conformity: every internal face shared by exactly 2 tets
     face_count = Counter()
@@ -106,3 +102,27 @@ def validate_extracted_mesh(mesh: ExtractedMesh,
         issues.append(f"{over} faces shared by more than two tets")
 
     return issues
+
+
+def open_label_edges(faces: np.ndarray, labels: np.ndarray) -> int:
+    """Edges used an odd number of times by some label's boundary.
+
+    ``labels[f]`` holds the two labels on either side of boundary face
+    ``f``; the boundary of tissue ``L`` is every face with ``L`` on one
+    side, and it is closed when each of its edges lies on an even
+    number of those faces.  The test is per label on purpose: where
+    three tissues meet, an edge lies on three boundary faces of the
+    mesh as a whole although every tissue's boundary is closed.
+    """
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    labels = np.asarray(labels).reshape(-1, 2)
+    n_open = 0
+    for label in np.unique(labels):
+        if label == 0:
+            continue
+        f = faces[(labels[:, 0] == label) | (labels[:, 1] == label)]
+        edges = np.concatenate([f[:, (0, 1)], f[:, (1, 2)], f[:, (0, 2)]])
+        edges.sort(axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        n_open += int((counts % 2 == 1).sum())
+    return n_open

@@ -514,6 +514,11 @@ class MeshingService:
                 reg.counter("service.cache.miss").inc()
             t0 = time.perf_counter()
             result = self._run_mesher(job, request)
+            # Keep no live objects (refinement domain, tracer) in the job
+            # table and the memory tier: the service keeps every finished
+            # job, and one domain holds megabytes.  Results from worker
+            # processes and the disk tier never carry them either.
+            result.extras = {}
             bc = result.stats.get("block_cache") if result.stats else None
             job.tier = (
                 "block_hit" if bc and bc.get("hits", 0) > 0

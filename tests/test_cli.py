@@ -159,3 +159,21 @@ class TestObservabilityFlags:
     def test_missing_image_exits_2(self, tmp_path):
         assert main(["mesh", str(tmp_path / "nope.npz"),
                      "--delta", "3.0"]) == 2
+
+
+class TestBenchmarkScriptHelp:
+    def test_kernel_bench_help_renders(self):
+        # argparse %-formats help strings: a bare "%" garbles --help.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "kernel_bench.py"),
+             "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "20%" in proc.stdout

@@ -80,9 +80,22 @@ def replay_insert_remove(case, lo=0.05, hi=0.95):
     return tri, removed
 
 
+def replay_refine(case):
+    from repro.api import MeshRequest, mesh as api_mesh
+    from repro.imaging import sphere_phantom
+
+    size = int(case["phantom"].removeprefix("sphere"))
+    return api_mesh(MeshRequest(
+        image=sphere_phantom(size), delta=case["delta"],
+        mesher="sequential", max_operations=500_000,
+    ))
+
+
 # Every ctypes entry point the kernel dispatches on; disabling the
 # accelerator for a parity run must null all of them.
-ALL_ACCEL_HANDLES = ("bw_insert", "bw_commit", "bw_insert_many", "bw_remove")
+ORACLE_HANDLES = ("iso_probe", "iso_closest", "iso_crossing")
+ALL_ACCEL_HANDLES = ("bw_insert", "bw_commit", "bw_insert_many",
+                     "bw_remove") + ORACLE_HANDLES
 
 
 def disable_accel(monkeypatch):
@@ -204,14 +217,7 @@ class TestRefineGoldens:
         "case", GOLDEN["refine"], ids=lambda c: c["phantom"]
     )
     def test_refinement_matches_pre_overhaul_kernel(self, case):
-        from repro.api import MeshRequest, mesh as api_mesh
-        from repro.imaging import sphere_phantom
-
-        size = int(case["phantom"].removeprefix("sphere"))
-        res = api_mesh(MeshRequest(
-            image=sphere_phantom(size), delta=case["delta"],
-            mesher="sequential", max_operations=500_000,
-        ))
+        res = replay_refine(case)
         dom = res.extras["domain"]
         assert dom.tri.n_vertices == case["tri_vertices"]
         assert dom.tri.n_tets == case["tri_tets"]
@@ -255,6 +261,36 @@ class TestAcceleratorParity:
         assert fast.n_vertices == slow.n_vertices
         assert fast.n_tets == slow.n_tets
         assert topo_hash(fast.mesh) == topo_hash(slow.mesh)
+
+
+class TestOracleKernelParity:
+    """The refine goldens hold with the oracle kernels off, and the
+    kernels really answer the refine loop's queries when they are on."""
+
+    def test_python_oracle_reproduces_refine_golden(self, monkeypatch):
+        for name in ORACLE_HANDLES:
+            monkeypatch.setattr(_accel, name, None)
+        case = GOLDEN["refine"][0]
+        dom = replay_refine(case).extras["domain"]
+        assert dom.oracle._kernel is None
+        assert topo_hash(dom.tri.mesh) == case["topology_sha256"]
+
+    @pytest.mark.skipif(
+        _accel.iso_closest is None, reason="C accelerator unavailable"
+    )
+    def test_oracle_kernel_engaged(self, monkeypatch):
+        from repro.imaging.isosurface import SurfaceOracle
+
+        def python_path(*args, **kwargs):
+            raise AssertionError("Python oracle ran with the kernel on")
+
+        monkeypatch.setattr(SurfaceOracle, "_march_segment", python_path)
+        case = GOLDEN["refine"][0]
+        res = replay_refine(case)
+        dom = res.extras["domain"]
+        assert dom.oracle._kernel is not None
+        assert res.stats["rule_counts"].get("R1", 0) > 0
+        assert topo_hash(dom.tri.mesh) == case["topology_sha256"]
 
 
 class TestExactFallbackBudget:

@@ -1,17 +1,25 @@
 """Tests for the FE pre-flight mesh validator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import _mesh_image as mesh_image
 from repro.core.extract import ExtractedMesh
-from repro.imaging import shell_phantom, sphere_phantom
+from repro.imaging import knee_phantom, shell_phantom, sphere_phantom
 from repro.metrics.validate import validate_extracted_mesh
 
 
 @pytest.fixture(scope="module")
 def good_mesh():
     return mesh_image(sphere_phantom(20), delta=2.5,
+                      max_operations=200_000).mesh
+
+
+@pytest.fixture(scope="module")
+def junction_mesh():
+    return mesh_image(knee_phantom(16), delta=2.0,
                       max_operations=200_000).mesh
 
 
@@ -23,6 +31,31 @@ class TestValidator:
         mesh = mesh_image(shell_phantom(20), delta=2.5,
                           max_operations=200_000).mesh
         assert validate_extracted_mesh(mesh) == []
+
+    def test_tissue_junctions_are_not_open_edges(self, junction_mesh):
+        # knee-16 has edges where three tissues meet: each lies on three
+        # boundary faces of the mesh, yet every tissue's boundary closes.
+        mesh = junction_mesh
+        edges = Counter()
+        for face in mesh.boundary_faces.tolist():
+            a, b, c = sorted(face)
+            edges.update([(a, b), (a, c), (b, c)])
+        assert any(n % 2 for n in edges.values())
+        assert validate_extracted_mesh(mesh) == []
+
+    def test_detects_missing_boundary_face(self, junction_mesh):
+        mesh = junction_mesh
+        keep = np.ones(len(mesh.boundary_faces), dtype=bool)
+        keep[len(keep) // 2] = False
+        holed = ExtractedMesh(
+            vertices=mesh.vertices,
+            tets=mesh.tets,
+            tet_labels=mesh.tet_labels,
+            boundary_faces=mesh.boundary_faces[keep],
+            boundary_labels=mesh.boundary_labels[keep],
+        )
+        issues = validate_extracted_mesh(holed)
+        assert any("not watertight" in s for s in issues)
 
     def test_detects_out_of_range_index(self, good_mesh):
         broken = ExtractedMesh(

@@ -119,6 +119,16 @@ class TestArtifactCacheRoundTrip:
                                       cold.mesh.boundary_faces)
         assert warm_seconds < cold_seconds / 10.0
 
+    def test_results_hold_no_live_objects(self, image):
+        # The service keeps every finished job, so a result must not pin
+        # its run's refinement domain (extras) in memory.
+        with connect(config=ServiceConfig(n_workers=1)) as client:
+            req = MeshRequest(image=image, delta=3.0, mesher="sequential")
+            jid = client.submit(req)
+            assert client.wait(jid, timeout=120.0)["state"] == "DONE"
+            assert client.result(jid).extras == {}
+            assert client.mesh(req).extras == {}  # memory-tier hit
+
     def test_different_params_miss(self, image):
         with connect(config=ServiceConfig(n_workers=1)) as client:
             client.mesh(MeshRequest(image=image, delta=3.0,
